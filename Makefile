@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint lint-baseline vet fmt test race test-race-parallel cover fuzz-smoke chaos-smoke resume-smoke soak-smoke scaling-curve bench-snapshot bench-compare ci
+.PHONY: all build lint lint-baseline vet fmt test race cover fuzz-smoke chaos-smoke resume-smoke soak-smoke bench-snapshot bench-compare ci
 
 all: build lint test
 
@@ -30,16 +30,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The two-phase cycle engine's packages (including the golden
-# byte-identity and conservation-property suites, which exercise worker
-# pools at several widths) under the race detector at two scheduler
-# widths: GOMAXPROCS=1 forces maximal interleaving through the pool's
-# wake/barrier protocol on one P, GOMAXPROCS=4 runs compute shards
-# genuinely concurrently.
-test-race-parallel:
-	GOMAXPROCS=1 $(GO) test -race ./internal/noc ./internal/disco ./internal/cmp
-	GOMAXPROCS=4 $(GO) test -race ./internal/noc ./internal/disco ./internal/cmp
 
 # Per-package statement coverage. The load-bearing packages — the cycle
 # engine the whole simulator rests on and the streaming service's wire
@@ -141,16 +131,6 @@ soak-smoke:
 	cat bench/soak-report.json; \
 	echo "soak-smoke: $(SOAK_STREAMS) streams byte-exact, RSS bounded, drain clean"
 
-# Worker-count scaling curve on a short full-system run: sweep
-# -sim-workers over the two-phase engine and write cycles/sec plus the
-# per-phase wall-clock breakdown as CSV. CI uploads the curve as a
-# workflow artifact; shared-runner numbers are indicative, not gated.
-scaling-curve:
-	@mkdir -p bench
-	$(GO) run ./cmd/discosim -run disco -benchmark swaptions \
-		-ops 2000 -warmup 500 -scaling 1,2,4 -scaling-csv bench/scaling.csv
-	@cat bench/scaling.csv
-
 # One pass over every benchmark (sanity, not timing-stable) into
 # bench/full.txt, then a timing-stable best-of-5 run of the hot-path
 # micro-benchmarks into bench/bench.txt — the committed baseline that
@@ -170,18 +150,15 @@ bench-snapshot:
 # Re-run the tier-2 micro-benchmarks (best of 5) and diff them against
 # the committed baseline (bench/bench.txt) with cmd/benchcmp. Fails when
 # a gated hot path (Compress*, Decompress*, NoCStep*) regresses its
-# ns/op by more than 10%, or — on a multi-CPU host — when the two-phase
-# engine's 4-worker 8x8 mesh speedup over the serial engine falls below
-# 1.5x (single-CPU hosts report the ratio without enforcing the floor).
+# ns/op by more than 10%.
 bench-compare:
 	@mkdir -p bench
 	$(GO) test -run TestNone \
 		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/new.txt
 	$(GO) run ./cmd/benchcmp -baseline bench/bench.txt -new bench/new.txt \
-		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep' -max-regress 10 \
-		-speedup 'BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4' -min-speedup 1.5
+		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep' -max-regress 10
 	$(GO) run ./cmd/benchcmp -baseline bench/baseline_pr6.txt -new bench/new.txt \
 		-require 'BenchmarkCompressSC2=50,BenchmarkNoCStepMesh8Serial=30'
 
-ci: build lint race test-race-parallel cover fuzz-smoke chaos-smoke resume-smoke soak-smoke
+ci: build lint race cover fuzz-smoke chaos-smoke resume-smoke soak-smoke

@@ -265,11 +265,9 @@ func BenchmarkNoCStepLoaded(b *testing.B) {
 	}
 }
 
-// benchNoCStepMesh8 measures per-cycle cost of a loaded 8x8 DISCO mesh
-// at a given worker count — the serial/parallel pair quantifies the
-// two-phase engine's intra-simulation speedup (`-sim-workers`).
-func benchNoCStepMesh8(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkNoCStepMesh8Serial measures the per-cycle cost of a loaded
+// 8x8 DISCO mesh on the two-phase engine.
+func BenchmarkNoCStepMesh8Serial(b *testing.B) {
 	cfg := noc.DefaultConfig()
 	cfg.K = 8
 	dc := disco.DefaultConfig(compress.NewDelta())
@@ -278,8 +276,6 @@ func benchNoCStepMesh8(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer net.Close()
-	net.SetWorkers(workers)
 	tc := noc.DefaultTraffic()
 	tc.InjectionRate = 0.08
 	gen := noc.NewTrafficGen(net, tc)
@@ -293,12 +289,6 @@ func benchNoCStepMesh8(b *testing.B, workers int) {
 		net.Step()
 	}
 }
-
-// BenchmarkNoCStepMesh8Serial is the serial-engine reference.
-func BenchmarkNoCStepMesh8Serial(b *testing.B) { benchNoCStepMesh8(b, 1) }
-
-// BenchmarkNoCStepMesh8Workers4 shards compute across 4 workers.
-func BenchmarkNoCStepMesh8Workers4(b *testing.B) { benchNoCStepMesh8(b, 4) }
 
 // BenchmarkTraceGeneration measures workload-stream generation.
 func BenchmarkTraceGeneration(b *testing.B) {

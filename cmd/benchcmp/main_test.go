@@ -88,68 +88,23 @@ func TestCompareNoGate(t *testing.T) {
 	}
 }
 
-const parallelBench = `
+const multiCPUBench = `
 BenchmarkNoCStepMesh8Serial-4     	    2000	    120000 ns/op
-BenchmarkNoCStepMesh8Workers4-4   	    2000	     60000 ns/op
 PASS
 `
 
-const parallelBench1CPU = `
+const oneCPUBench = `
 BenchmarkNoCStepMesh8Serial       	    2000	    120000 ns/op
-BenchmarkNoCStepMesh8Workers4     	    2000	    130000 ns/op
 PASS
 `
 
 func TestParseBenchProcs(t *testing.T) {
-	m := parse(t, parallelBench)
+	m := parse(t, multiCPUBench)
 	if p := m["BenchmarkNoCStepMesh8Serial"].Procs; p != 4 {
 		t.Errorf("Procs = %d, want 4 from the -4 suffix", p)
 	}
-	if p := parse(t, parallelBench1CPU)["BenchmarkNoCStepMesh8Serial"].Procs; p != 1 {
+	if p := parse(t, oneCPUBench)["BenchmarkNoCStepMesh8Serial"].Procs; p != 1 {
 		t.Errorf("Procs = %d, want 1 when the suffix is absent", p)
-	}
-}
-
-func TestSpeedupGate(t *testing.T) {
-	cur := parse(t, parallelBench)
-	pair := "BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4"
-	line, slow, err := speedup(cur, pair, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow {
-		t.Error("2.00x speedup must pass a 1.5x floor")
-	}
-	if !strings.Contains(line, "2.00x") {
-		t.Errorf("report %q should carry the 2.00x ratio", line)
-	}
-	// A floor above the measured ratio fails on a multi-CPU run.
-	if _, slow, _ := speedup(cur, pair, 2.5); !slow {
-		t.Error("2.00x speedup must fail a 2.5x floor on a multi-CPU run")
-	}
-}
-
-func TestSpeedupSingleCPUNotEnforced(t *testing.T) {
-	cur := parse(t, parallelBench1CPU)
-	line, slow, err := speedup(cur, "BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4", 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow {
-		t.Error("single-CPU runs must never fail the speedup floor")
-	}
-	if !strings.Contains(line, "not enforced on a single-CPU run") {
-		t.Errorf("report %q should say the floor was skipped", line)
-	}
-}
-
-func TestSpeedupErrors(t *testing.T) {
-	cur := parse(t, parallelBench)
-	for _, pair := range []string{"bad", "=X", "X=", "BenchmarkNope=BenchmarkNoCStepMesh8Workers4",
-		"BenchmarkNoCStepMesh8Serial=BenchmarkNope"} {
-		if _, _, err := speedup(cur, pair, 1.5); err == nil {
-			t.Errorf("speedup(%q) should error", pair)
-		}
 	}
 }
 

@@ -80,6 +80,13 @@ func realMain(args []string) int {
 		return ExitConfig
 	}
 
+	// Catch signals before anything is bound: a supervisor that sends
+	// SIGTERM as soon as the port file appears must get a drain, not the
+	// default die-on-signal action.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", *listenAddr)
 	if err != nil {
 		rep.Infof("listen %s: %v", *listenAddr, err)
@@ -133,10 +140,6 @@ func realMain(args []string) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-serveErr:

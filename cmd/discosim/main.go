@@ -10,7 +10,6 @@
 //	discosim -exp all -cache-dir .disco-cache -resume
 //	discosim -run disco -benchmark canneal -alg sc2   # one raw run
 //	discosim -run disco -benchmark canneal -profile -http :6060
-//	discosim -run disco -scaling 1,2,4,8 -scaling-csv scaling.csv
 //
 // Exit codes (see README "Resumable campaigns"):
 //
@@ -28,10 +27,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -120,15 +117,12 @@ func realMain() int {
 		resume   = flag.Bool("resume", false, "with -cache-dir: report the previous campaign's manifest before replaying finished cells")
 		retries  = flag.Int("retries", 2, "with -cache-dir: transient-failure retries per cell before recording a terminal failure")
 
-		jobs       = flag.Int("j", 0, "parallel simulation workers (0 = all cores); results are byte-identical at any setting")
-		simWorkers = flag.Int("sim-workers", 1, "with -run: shard the NoC cycle engine across this many workers within the one simulation; results are byte-identical at any setting")
-		noCache    = flag.Bool("no-cache", false, "disable the cross-figure run memo cache")
+		jobs    = flag.Int("j", 0, "parallel simulation workers (0 = all cores); results are byte-identical at any setting")
+		noCache = flag.Bool("no-cache", false, "disable the cross-figure run memo cache")
 
-		profile    = flag.Bool("profile", false, "with -run: print a per-phase wall-clock profile to stderr after the run (purely observational; artifacts stay byte-identical)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /status and /debug/pprof on this address while the run or campaign executes (e.g. :6060)")
-		httpEvery  = flag.Uint64("http-every", 0, "with -run -http: publish /status and /metrics snapshots every N cycles (0 = default)")
-		scaling    = flag.String("scaling", "", "with -run: comma-separated -sim-workers counts to sweep, emitting a scaling-curve CSV")
-		scalingCSV = flag.String("scaling-csv", "", "with -scaling: write the curve CSV to this file (default stdout)")
+		profile   = flag.Bool("profile", false, "with -run: print a per-phase wall-clock profile to stderr after the run (purely observational; artifacts stay byte-identical)")
+		httpAddr  = flag.String("http", "", "serve /metrics, /status and /debug/pprof on this address while the run or campaign executes (e.g. :6060)")
+		httpEvery = flag.Uint64("http-every", 0, "with -run -http: publish /status and /metrics snapshots every N cycles (0 = default)")
 	)
 	flag.Parse()
 
@@ -139,15 +133,9 @@ func realMain() int {
 
 	if *runMode != "" {
 		o := observeOpts{metricsOut: *metricsOut, metricsEvery: *metricsEvery, traceBin: *traceBin,
-			faultSpec: *faultSpec, faultSeed: *faultSeed, simWorkers: *simWorkers,
+			faultSpec: *faultSpec, faultSeed: *faultSeed,
 			profile: *profile, httpAddr: *httpAddr, httpEvery: *httpEvery, rep: rep}
-		var err error
-		if *scaling != "" {
-			err = scalingRun(*runMode, *bench, *alg, *k, *ops, *warmup, *seed, o, *scaling, *scalingCSV)
-		} else {
-			err = singleRun(*runMode, *bench, *alg, *k, *ops, *warmup, *seed, o)
-		}
-		if err != nil {
+		if err := singleRun(*runMode, *bench, *alg, *k, *ops, *warmup, *seed, o); err != nil {
 			fmt.Fprintln(os.Stderr, "discosim:", err)
 			return exitCode(err)
 		}
@@ -441,14 +429,13 @@ func runExperiments(exp string, o experiments.Opts) error {
 	return nil
 }
 
-// observeOpts are the -run observability attachments and engine knobs.
+// observeOpts are the -run observability attachments and fault knobs.
 type observeOpts struct {
 	metricsOut   string
 	metricsEvery uint64
 	traceBin     string
 	faultSpec    string
 	faultSeed    int64
-	simWorkers   int
 	profile      bool
 	httpAddr     string
 	httpEvery    uint64
@@ -512,7 +499,6 @@ func buildConfig(mode, bench, alg string, k, ops, warmup int, seed int64, o obse
 		spec.Seed = o.faultSeed
 		cfg.Fault = &spec
 	}
-	cfg.SimWorkers = o.simWorkers
 	return cfg, nil
 }
 
@@ -538,7 +524,6 @@ func singleRun(mode, bench, alg string, k, ops, warmup int, seed int64, o observ
 	if err != nil {
 		return &configError{err}
 	}
-	defer sys.Close()
 	var reg *metrics.Registry
 	if o.metricsOut != "" {
 		reg = metrics.NewRegistry()
@@ -546,7 +531,7 @@ func singleRun(mode, bench, alg string, k, ops, warmup int, seed int64, o observ
 	}
 	var pp *obs.PhaseProfiler
 	if o.profile || o.httpAddr != "" {
-		pp = obs.NewPhaseProfiler(cfg.SimWorkers)
+		pp = obs.NewPhaseProfiler(1)
 		sys.AttachProfiler(pp)
 	}
 	if o.httpAddr != "" {
@@ -628,69 +613,6 @@ func singleRun(mode, bench, alg string, k, ops, warmup int, seed int64, o observ
 		fmt.Printf("wrote %s (%d records)\n", o.traceBin, bt.Count)
 	}
 	fmt.Println(r.Detailed())
-	return nil
-}
-
-// scalingRun sweeps -sim-workers over the given counts, re-running the
-// same simulation once per count with a profiler attached, and emits
-// the scaling curve as CSV (one row per count; columns per
-// obs.ScalingHeader). Every sweep point produces byte-identical
-// simulation results — only the wall-clock columns vary.
-func scalingRun(mode, bench, alg string, k, ops, warmup int, seed int64, o observeOpts, spec, csvPath string) error {
-	rep := o.reporter()
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return &configError{fmt.Errorf("bad -scaling worker count %q", f)}
-		}
-		counts = append(counts, n)
-	}
-	reports := make([]obs.Report, 0, len(counts))
-	for _, wkr := range counts {
-		cfg, err := buildConfig(mode, bench, alg, k, ops, warmup, seed, o)
-		if err != nil {
-			return err
-		}
-		cfg.SimWorkers = wkr
-		sys, err := cmp.New(cfg)
-		if err != nil {
-			return &configError{err}
-		}
-		pp := obs.NewPhaseProfiler(wkr)
-		sys.AttachProfiler(pp)
-		_, err = sys.Run()
-		sys.Close()
-		if err != nil {
-			return fmt.Errorf("workers=%d: %w", wkr, err)
-		}
-		r := pp.Report()
-		rep.Infof("workers=%d: %d cycles in %.3fs (%.0f cycles/s)",
-			wkr, r.Steps, float64(r.ElapsedNS)/1e9, r.CyclesPerSec())
-		reports = append(reports, r)
-	}
-	out := io.Writer(os.Stdout)
-	var f *os.File
-	if csvPath != "" {
-		var err error
-		f, err = os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		out = f
-	}
-	if err := obs.WriteScalingCSV(out, counts, reports); err != nil {
-		if f != nil {
-			_ = f.Close()
-		}
-		return err
-	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", csvPath)
-	}
 	return nil
 }
 

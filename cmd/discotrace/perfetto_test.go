@@ -38,7 +38,6 @@ func buildFixtureTrace(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
 	var buf bytes.Buffer
 	bt := noc.NewBinaryTracer(&buf, cfg.Nodes())
 	n.SetTracer(bt)

@@ -50,9 +50,9 @@ func main() {
 
 	// Telemetry attachment 2: a binary event trace, kept in memory here;
 	// discosim -trace-bin streams the same bytes to a file.
-	var traceBuf bytes.Buffer
+	var binTrace bytes.Buffer
 	ncfg := sys.Network().Config()
-	bt := noc.NewBinaryTracer(&traceBuf, ncfg.Nodes())
+	bt := noc.NewBinaryTracer(&binTrace, ncfg.Nodes())
 	sys.Network().SetTracer(bt)
 
 	r, err := sys.Run()
@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ran %s/DISCO: on-chip miss latency %.2f cyc, %d trace records, %d bytes\n\n",
-		cfg.Profile.Name, r.AvgMissLatency, bt.Count, traceBuf.Len())
+		cfg.Profile.Name, r.AvgMissLatency, bt.Count, binTrace.Len())
 
 	// The registry snapshot: counters evaluated after the run.
 	snap := reg.Snapshot()
@@ -82,7 +82,7 @@ func main() {
 
 	// Replay the trace the way discotrace does: pair injects with ejects
 	// and split each packet's latency into queue / serialization / engine.
-	if err := replay(&traceBuf); err != nil {
+	if err := replay(&binTrace); err != nil {
 		log.Fatal(err)
 	}
 }

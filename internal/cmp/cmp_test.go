@@ -77,6 +77,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSimWorkersMustBeSerial pins the deprecated SimWorkers contract:
+// cmp.New accepts 0 and 1 (the one serial engine) and rejects anything
+// larger as a configuration error instead of silently running serially.
+func TestSimWorkersMustBeSerial(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		cfg := quickCfg(DISCO, "vips")
+		cfg.SimWorkers = w
+		if _, err := New(cfg); err != nil {
+			t.Errorf("SimWorkers=%d rejected: %v", w, err)
+		}
+	}
+	cfg := quickCfg(DISCO, "vips")
+	cfg.SimWorkers = 2
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "SimWorkers") {
+		t.Errorf("SimWorkers=2: err = %v, want a SimWorkers config error", err)
+	}
+}
+
 func TestTagFactorByMode(t *testing.T) {
 	prof, _ := trace.ByName("vips")
 	b := DefaultConfig(Baseline, nil, prof)

@@ -128,10 +128,10 @@ type Config struct {
 	// this long the run aborts with a *StallError carrying a diagnostic
 	// snapshot. 0 uses DefaultStallWindow.
 	StallWindow uint64
-	// SimWorkers shards the NoC's per-cycle compute phase across this many
-	// workers (noc.Network.SetWorkers); 0 or 1 is the serial engine.
-	// Results are byte-identical at any setting. Distinct from simrun's
-	// -j, which parallelizes across independent simulations.
+	// SimWorkers must be 0 or 1: the NoC runs one serial two-phase
+	// engine, and Validate rejects larger values.
+	//
+	// Deprecated: parallelize across simulations instead (simrun's -j).
 	SimWorkers int
 }
 
@@ -184,6 +184,9 @@ func (c *Config) Validate() error {
 	}
 	if c.BankSets <= 0 || c.BankWays <= 0 {
 		return fmt.Errorf("cmp: bad bank geometry %dx%d", c.BankSets, c.BankWays)
+	}
+	if c.SimWorkers > 1 {
+		return fmt.Errorf("cmp: SimWorkers %d: the NoC engine is serial (0 or 1); parallelize across runs with -j", c.SimWorkers)
 	}
 	if c.Fault != nil {
 		if err := c.Fault.Validate(); err != nil {

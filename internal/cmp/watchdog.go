@@ -44,10 +44,8 @@ func (e *StallError) Error() string {
 // core retirement plus network injection, ejection, link traversals and
 // crossbar activity. Any real progress changes at least one term.
 //
-// It must only be sampled at a commit boundary (noc.AtCommitBoundary):
-// mid-step, the two-phase engine's counters are partially staged — and
-// on the parallel engine written concurrently — so a mid-cycle sample
-// could both misread progress and race.
+// It is sampled between Steps, where every staged effect has committed
+// and the counters are coherent.
 func (s *System) progressSignature() uint64 {
 	var sig uint64
 	for _, c := range s.cores {
@@ -89,12 +87,10 @@ func (s *System) Run() (Results, error) {
 			return Results{}, s.stallError(0, fmt.Sprintf("cycle budget %d exhausted", s.cfg.MaxCycles))
 		}
 		s.Step()
-		if s.probeFn != nil && s.now%s.probeEvery == 0 && s.net.AtCommitBoundary() {
+		if s.probeFn != nil && s.now%s.probeEvery == 0 {
 			s.probeFn()
 		}
-		if s.now%watchdogPeriod != 0 || !s.net.AtCommitBoundary() {
-			// Sample only at post-commit boundaries: between Steps all
-			// staged effects are applied and the counters are coherent.
+		if s.now%watchdogPeriod != 0 {
 			continue
 		}
 		if sig := s.progressSignature(); sig != lastSig {

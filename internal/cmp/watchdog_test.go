@@ -117,3 +117,26 @@ func TestFaultFreeResultsIdentical(t *testing.T) {
 		t.Errorf("silent fault spec changed the run: cycles %d vs %d", base.Cycles, silent.Cycles)
 	}
 }
+
+// TestHealthyRunNoStall pins the watchdog's sampling point: a healthy
+// run must never trip a *StallError, even with a watchdog window tight
+// enough that any mis-sampled (frozen-looking) signature would fire it.
+func TestHealthyRunNoStall(t *testing.T) {
+	cfg := quickCfg(DISCO, "bodytrack")
+	cfg.StallWindow = 4096
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r, err := sys.Run()
+	var se *StallError
+	if errors.As(err, &se) {
+		t.Fatalf("healthy run tripped the watchdog: %v", se)
+	}
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if r.Cycles == 0 {
+		t.Error("empty results")
+	}
+}

@@ -8,8 +8,7 @@ package lint
 //
 //   - a static call graph (direct calls, method calls on concrete
 //     receivers, method expressions, and functions passed as call
-//     arguments — which covers the two-phase engine's
-//     runStage((*Router).computeX) dispatch);
+//     arguments, so a stage dispatched as a method value is followed);
 //   - per-function facts: allocation sites (make/new/escaping composite
 //     literals/capturing closures/growing appends), map-iteration sites,
 //     field writes with their target expression, and whether the
@@ -587,8 +586,7 @@ func capturesOutside(pass *Pass, fl *ast.FuncLit) bool {
 
 // recordCall resolves a call's static callee: direct function calls,
 // method calls on concrete receivers, method expressions, and in-package
-// functions passed as arguments (the runStage((*Router).computeX)
-// dispatch idiom).
+// functions passed as arguments.
 func (ff *funcFacts) recordCall(pass *Pass, call *ast.CallExpr) {
 	if fn, recv := staticCallee(pass, call.Fun); fn != nil {
 		cs := callSite{pos: call.Pos(), callee: fn, recv: recv, args: call.Args}

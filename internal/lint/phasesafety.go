@@ -8,32 +8,34 @@ import (
 // PhaseSafety enforces the two-phase cycle engine's compute-phase write
 // contract (DESIGN.md §9/§10) interprocedurally inside internal/noc.
 //
-// The parallel engine runs every (*Router).compute* stage concurrently
-// across routers and relies on a contract no test can fully pin: compute
-// code reads prior-cycle state freely but may WRITE only state owned by
-// its router — its own fields, its own VC buffers and engine scratch,
-// and its staged-effect slices. The analyzer computes the closure of
-// functions reachable from the compute-phase roots (methods on Router
-// named compute*) over the package call graph and reports:
+// The engine runs every (*Router).compute* stage over all routers before
+// any of that stage's commits, so that every router arbitrates against
+// prior-cycle state. That rests on a contract no test can fully pin:
+// compute code reads prior-cycle state freely but may WRITE only state
+// owned by its router — its own fields, its own VC buffers and engine
+// scratch, and its staged-effect slices. A cross-router write would let
+// routers later in index order see a same-cycle effect earlier ones did
+// not. The analyzer computes the closure of functions reachable from the
+// compute-phase roots (methods on Router named compute*) over the
+// package call graph and reports:
 //
 //   - any field write whose target chain reaches another Router or the
 //     Network (including writes through local aliases of foreign state,
 //     e.g. `dst := d.in[ip][v]; dst.reserved++`);
 //   - any call that mutates a foreign Router or the Network, however
 //     deep the write is (mutation facts are propagated to callers);
-//   - any direct (*Network).trace emission — compute phases must stage
-//     events through the (*Router).trace wrapper so the parallel flush
-//     can replay them in canonical order;
+//   - any direct (*Network).trace emission — compute phases must emit
+//     through the (*Router).trace wrapper, the one sanctioned path from
+//     compute code to Network state;
 //   - any call into internal/obs — the observability package is the
 //     sanctioned wall-clock island, but its clock may be read only by
-//     the engine driver and the worker loop, which bracket whole
-//     stages. A compute method timing itself would read the wall clock
-//     once per router per cycle and skew the very phase attribution
-//     the profiler exists to report.
+//     the engine driver, which brackets whole stages. A compute method
+//     timing itself would read the wall clock once per router per cycle
+//     and skew the very phase attribution the profiler exists to report.
 //
 // commit* methods are the serial half of the engine and are exempt:
 // traversal is pruned at any function whose name starts with "commit",
-// and at the (*Router).trace staging wrapper itself.
+// and at the (*Router).trace wrapper itself.
 var PhaseSafety = &Analyzer{
 	Name:  "phasesafety",
 	Doc:   "compute-phase code may write only its own router's state; cross-router/Network writes and direct trace emission are findings",
@@ -69,8 +71,8 @@ func runPhaseSafety(pass *Pass) error {
 
 // phaseSafetySkip prunes the traversal at commit-phase roots (the serial
 // half of a stage — cross-router effects are their whole point) and at
-// the (*Router).trace staging wrapper (the one sanctioned path from a
-// compute phase to the tracer).
+// the (*Router).trace wrapper (the one sanctioned path from a compute
+// phase to the tracer).
 func phaseSafetySkip(fn *types.Func) bool {
 	if strings.HasPrefix(fn.Name(), "commit") {
 		return true
@@ -90,7 +92,7 @@ func checkPhaseWrites(pass *Pass, pf *pkgFacts, ff *funcFacts) {
 	}
 	for _, cs := range ff.calls {
 		if isObsFunc(cs.callee) {
-			pass.Reportf(cs.pos, "compute-phase call to obs.%s (in %s); wall-clock observation belongs to the engine driver and worker loop, not compute code whose timing it would skew", cs.callee.Name(), where)
+			pass.Reportf(cs.pos, "compute-phase call to obs.%s (in %s); wall-clock observation belongs to the engine driver, not compute code whose timing it would skew", cs.callee.Name(), where)
 			continue
 		}
 		if cs.callee.Name() == "trace" && recvTypeName(cs.callee) == "Network" {

@@ -108,8 +108,7 @@ func (r *Router) spill() {
 
 // computeTimed reads the observability clock from compute code
 // (forbidden: per-router wall-clock reads skew the phase attribution
-// the profiler reports; only the engine driver and worker loop may
-// bracket stages).
+// the profiler reports; only the engine driver may bracket stages).
 func (r *Router) computeTimed() {
 	start := obs.Clock() // want "compute-phase call to obs.Clock"
 	r.stalls += int(start & 1)
@@ -120,7 +119,7 @@ func (r *Router) computeTimed() {
 func (r *Router) computeObserved(p *obs.PhaseProfiler) { r.sample(p) }
 
 func (r *Router) sample(p *obs.PhaseProfiler) {
-	p.Observe(0, obs.PhaseEngine, 0) // want "compute-phase call to obs.Observe"
+	p.Observe(obs.PhaseEngine, 0) // want "compute-phase call to obs.Observe"
 }
 
 // commitTimed reads the clock from the serial half (allowed: traversal
@@ -134,7 +133,7 @@ func (r *Router) commitTimed() {
 func (r *Router) driverStep(p *obs.PhaseProfiler) {
 	start := obs.Clock()
 	r.computeOwn()
-	p.Observe(0, obs.PhaseEngine, start)
+	p.Observe(obs.PhaseEngine, start)
 }
 
 // computeThenCommit hands off to the serial half; traversal prunes at

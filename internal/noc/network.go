@@ -142,13 +142,6 @@ type Network struct {
 	blkPool [][]byte
 	blkFree int
 
-	// Two-phase engine state (see parallel.go / DESIGN.md §9): pool
-	// shards compute phases across workers (nil = serial engine);
-	// stepping is true while a Step is applying staged effects, so
-	// observers can refuse to sample mid-cycle state.
-	pool     *workerPool
-	stepping bool
-
 	// OnEject is called when a packet fully leaves the network at node.
 	// The NI-level residual de/compression latency is the receiver's
 	// concern (see internal/cmp); the network only reports the event.
@@ -386,21 +379,17 @@ func (n *Network) decodeComp(c compress.Compressed) ([]byte, error) {
 	return alg.Decompress(c)
 }
 
-// Step advances the network by one cycle of the two-phase engine: each
-// pipeline stage runs its compute over all busy routers (sharded across
-// the worker pool when one is set — see parallel.go), then commits the
-// staged effects serially in canonical router-index order. The stage
-// sequence matches the classic serial phase order (engines, SA+ST, VA,
-// RC, DISCO arbitration, NI injection), so results — including the trace
-// byte stream — are identical at any worker count.
+// Step advances the network by one cycle of the two-phase engine (see
+// DESIGN.md §9): each pipeline stage runs its compute half over every
+// busy router against prior-cycle state, then its commit half applies
+// the staged cross-router effects in canonical router-index order. The
+// stage sequence is engines, SA (+ traversal commit), allocation (VA,
+// RC, DISCO arbitration) and arbitration commit, then NI injection.
 func (n *Network) Step() {
-	n.stepping = true
-	// Profiling stamps (profile.go): t threads through the serial
-	// regions on the driver lane; compute-stage and barrier attribution
-	// on the parallel engine happens inside runStage/workerPool.
+	// Profiling stamps (profile.go): t threads through the regions.
 	t := n.profClock()
-	// Serial prologue: due credit recoveries land (fault injection only;
-	// the queue is ordered by restore cycle), then link arrivals land in
+	// Prologue: due credit recoveries land (fault injection only; the
+	// queue is ordered by restore cycle), then link arrivals land in
 	// input buffers — these are last cycle's committed effects becoming
 	// this cycle's prior state.
 	for n.creditHead < len(n.creditRestores) && n.creditRestores[n.creditHead].at <= n.Cycle {
@@ -433,86 +422,48 @@ func (n *Network) Step() {
 		busy[i] = r.busy()
 	}
 	t = n.profMark(obs.PhaseOther, t)
-	if n.pool == nil {
-		// Serial engine: the same stage sequence with direct dispatch.
-		// Compute and commit must NOT fuse per router even serially —
-		// e.g. a committed traversal shrinks a VC's occupancy, which
-		// the upstream router's SA credit check reads; fusing would let
-		// later routers see same-cycle commits that the two-phase
-		// engine (and any parallel run) orders after the barrier.
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeEngine()
-			}
+	// Compute and commit must NOT fuse per router: e.g. a committed
+	// traversal shrinks a VC's occupancy, which the upstream router's SA
+	// credit check reads, so fusing would let later routers see
+	// same-cycle commits that earlier routers did not.
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.computeEngine()
 		}
-		t = n.profMark(obs.PhaseEngine, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeSA()
-			}
-		}
-		t = n.profMark(obs.PhaseSA, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitSA()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeAlloc()
-			}
-		}
-		t = n.profMark(obs.PhaseAlloc, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitArb()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-	} else {
-		// Stage: DISCO engines (commit, absorb, complete) — pure
-		// compute, no shared effects beyond the staged traces.
-		n.runStage(busy, obs.PhaseEngine, (*Router).computeEngine)
-		t = n.profClock()
-		n.flushTraces(busy)
-		t = n.profMark(obs.PhaseCommit, t)
-		// Stage: switch allocation — compute arbitrates against
-		// prior-cycle credits, commit applies stall bookkeeping and
-		// winner traversals (flit moves, credit reservations,
-		// ejections, fault draws).
-		n.runStage(busy, obs.PhaseSA, (*Router).computeSA)
-		t = n.profClock()
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitSA()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-		// Stage: allocation-side computes (VA, RC, DISCO arbitration
-		// fused per router), then the arbitration commit (engine job
-		// starts). Alloc compute and commit do NOT fuse per router even
-		// serially: both emit traces, and fusing would interleave them
-		// differently than the staged flush.
-		n.runStage(busy, obs.PhaseAlloc, (*Router).computeAlloc)
-		t = n.profClock()
-		n.flushTraces(busy)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitArb()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
 	}
-	// Serial epilogue: NI injection (one flit per node per cycle).
+	t = n.profMark(obs.PhaseEngine, t)
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.computeSA()
+		}
+	}
+	t = n.profMark(obs.PhaseSA, t)
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.commitSA()
+		}
+	}
+	t = n.profMark(obs.PhaseCommit, t)
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.computeAlloc()
+		}
+	}
+	t = n.profMark(obs.PhaseAlloc, t)
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.commitArb()
+		}
+	}
+	t = n.profMark(obs.PhaseCommit, t)
+	// Epilogue: NI injection (one flit per node per cycle).
 	for node := range n.ni {
 		n.stepInjection(node)
 	}
 	n.Cycle++
-	n.stepping = false
 	n.sampleMetrics()
 	if n.prof != nil {
-		n.prof.Observe(0, obs.PhaseOther, t)
+		n.prof.Observe(obs.PhaseOther, t)
 		n.prof.AddStep()
 	}
 }

@@ -7,16 +7,14 @@ import (
 	"github.com/disco-sim/disco/internal/obs"
 )
 
-// runProfiledLoad is runGoldenLoad with a profiler attached (nil p runs
-// unprofiled), returning the text trace for identity comparison.
-func runProfiledLoad(t *testing.T, workers int, p *obs.PhaseProfiler) string {
+// runProfiledLoad drives a seeded load with a profiler attached (nil p
+// runs unprofiled), returning the text trace for identity comparison.
+func runProfiledLoad(t *testing.T, p *obs.PhaseProfiler) string {
 	t.Helper()
 	cfg := discoConfig()
 	tc := DefaultTraffic()
 	tc.Seed, tc.InjectionRate = 42, 0.06
 	n := mustNet(t, cfg)
-	defer n.Close()
-	n.SetWorkers(workers)
 	n.AttachProfiler(p)
 	var sb strings.Builder
 	n.SetTracer(&WriterTracer{W: &sb})
@@ -33,46 +31,22 @@ func runProfiledLoad(t *testing.T, workers int, p *obs.PhaseProfiler) string {
 
 // TestProfilerIsPurelyObservational is the engine-level half of the
 // obs byte-identity gate: the same load traces identically with and
-// without a profiler attached, serial and parallel.
+// without a profiler attached, and every stage accrues time.
 func TestProfilerIsPurelyObservational(t *testing.T) {
-	want := runProfiledLoad(t, 1, nil)
-	for _, workers := range []int{1, 4} {
-		p := obs.NewPhaseProfiler(workers)
-		got := runProfiledLoad(t, workers, p)
-		if got != want {
-			diffTraces(t, "profiled", want, got)
-		}
-		if p.Steps() == 0 {
-			t.Errorf("workers=%d: profiler counted no steps", workers)
-		}
-		for _, ph := range []obs.Phase{obs.PhaseEngine, obs.PhaseSA, obs.PhaseAlloc, obs.PhaseCommit, obs.PhaseOther} {
-			if p.TotalNS(ph) <= 0 {
-				t.Errorf("workers=%d: phase %s accumulated nothing", workers, ph)
-			}
-		}
-		if workers > 1 && p.TotalNS(obs.PhaseBarrier) <= 0 {
-			t.Errorf("workers=%d: no barrier time recorded on the parallel engine", workers)
+	want := runProfiledLoad(t, nil)
+	p := obs.NewPhaseProfiler(1)
+	if got := runProfiledLoad(t, p); got != want {
+		diffTraces(t, "profiled", want, got)
+	}
+	if p.Steps() == 0 {
+		t.Error("profiler counted no steps")
+	}
+	for _, ph := range []obs.Phase{obs.PhaseEngine, obs.PhaseSA, obs.PhaseAlloc, obs.PhaseCommit, obs.PhaseOther} {
+		if p.TotalNS(ph) <= 0 {
+			t.Errorf("phase %s accumulated nothing", ph)
 		}
 	}
-}
-
-// TestProfilerWorkerLanes pins the lane attribution contract: on the
-// parallel engine the pool workers (lanes >= 1) record compute time of
-// their own, not just the driver.
-func TestProfilerWorkerLanes(t *testing.T) {
-	const workers = 4
-	p := obs.NewPhaseProfiler(workers)
-	runProfiledLoad(t, workers, p)
-	var laneCompute int64
-	for lane := 1; lane < workers; lane++ {
-		for _, ph := range []obs.Phase{obs.PhaseEngine, obs.PhaseSA, obs.PhaseAlloc} {
-			laneCompute += p.PhaseNS(lane, ph)
-		}
-	}
-	if laneCompute <= 0 {
-		t.Error("pool worker lanes recorded no compute time")
-	}
-	if p.PhaseNS(0, obs.PhaseBarrier) <= 0 {
-		t.Error("driver lane recorded no barrier wait")
+	if ns := p.TotalNS(obs.PhaseBarrier); ns != 0 {
+		t.Errorf("serial engine recorded %dns of barrier time", ns)
 	}
 }

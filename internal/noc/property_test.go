@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/disco-sim/disco/internal/fault"
@@ -77,14 +76,12 @@ func checkConservation(t *testing.T, n *Network, cycle uint64) {
 	}
 }
 
-// runConservationTrial drives one randomized load on one engine,
-// checking the conservation properties at commit boundaries throughout
-// and the reclamation properties after the drain.
-func runConservationTrial(t *testing.T, cfg Config, tc TrafficConfig, workers int) Stats {
+// runConservationTrial drives one randomized load, checking the
+// conservation properties at commit boundaries throughout and the
+// reclamation properties after the drain.
+func runConservationTrial(t *testing.T, cfg Config, tc TrafficConfig) {
 	t.Helper()
 	n := mustNet(t, cfg)
-	defer n.Close()
-	n.SetWorkers(workers)
 	g := NewTrafficGen(n, tc)
 	for cycle := 0; cycle < 1200; cycle++ {
 		g.Step()
@@ -115,16 +112,13 @@ func runConservationTrial(t *testing.T, cfg Config, tc TrafficConfig, workers in
 			}
 		})
 	}
-	return st
 }
 
 // TestConservationProperties is the property-based layer of the golden
 // suite: randomized (seed-logged) loads across patterns, rates, mesh
-// sizes and one fault configuration, each run on the serial and the
-// parallel engine, asserting the quick-check style invariants — flits
-// injected = ejected + in flight, credits never negative, shadow slots
-// always reclaimed — plus serial/parallel stats identity. Runs under
-// -race in CI (see the test-race-parallel target).
+// sizes and one fault configuration, asserting the quick-check style
+// invariants — flits injected = ejected + in flight, credits never
+// negative, shadow slots always reclaimed.
 func TestConservationProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(propertySeed))
 	t.Logf("property trial generator seed: %#x", propertySeed)
@@ -149,12 +143,7 @@ func TestConservationProperties(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			t.Logf("K=%d fault=%v traffic=%+v", cfg.K, cfg.Fault != nil, tc)
-			serial := runConservationTrial(t, cfg, tc, 1)
-			parallel := runConservationTrial(t, cfg, tc, 4)
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("serial and parallel stats diverge:\n  serial:   %+v\n  parallel: %+v",
-					serial, parallel)
-			}
+			runConservationTrial(t, cfg, tc)
 		})
 	}
 }

@@ -80,13 +80,10 @@ type Router struct {
 	// Staged effects of the two-phase engine (see DESIGN.md §9): the
 	// compute phase of a stage records every effect that touches shared
 	// state here; the commit phase applies them in canonical router
-	// order. All are reused scratch, reset by their commit. On the serial
-	// engine the stall bookkeeping commits in place instead (see
-	// computeSA), so saStalls stays empty.
-	traceBuf    []stagedTrace // compute-phase trace events (parallel only)
-	saWinners   []*vcBuf      // SA winners, in output-port order
-	saStalls    []saStall     // SA stall bookkeeping on shared Packet fields
-	arbPick     *vcBuf        // DISCO arbitration pick (engine start at commit)
+	// order. All are reused scratch, reset by their commit.
+	saWinners   []*vcBuf  // SA winners, in output-port order
+	saStalls    []saStall // SA stall bookkeeping on shared Packet fields
+	arbPick     *vcBuf    // DISCO arbitration pick (engine start at commit)
 	arbPickCand disco.Candidate
 }
 
@@ -193,9 +190,9 @@ func (r *Router) localContention(p Port, self *vcBuf) int {
 // --- Pipeline stages -------------------------------------------------
 //
 // Each stage is split into a compute part (reads prior-cycle state,
-// writes only router-local state — safe to run concurrently across
-// routers) and, where the stage has shared effects, a commit part the
-// network applies serially in router-index order. computeAlloc fuses
+// writes only router-local state, so no router's compute sees another
+// router's same-cycle effects) and, where the stage has shared effects,
+// a commit part the network applies in router-index order. computeAlloc fuses
 // VA, RC and the DISCO arbitration compute: within a router they run in
 // the classic stage order, and none of them writes state another
 // router's compute reads.
@@ -249,7 +246,7 @@ func (r *Router) routeFor(dst int) Port {
 // granted only when completely free). The grant table (outOwner) is
 // upstream-local and a downstream VC has exactly one owning upstream, so
 // the whole stage is compute-safe: it reads remote pkt/reserved fields no
-// concurrent compute writes.
+// compute half writes.
 func (r *Router) computeVA() {
 	reqs := &r.vaReqs
 	for p := Port(0); p < NumPorts; p++ {
@@ -355,30 +352,17 @@ func (r *Router) priority(p *Packet) int {
 // computeSA arbitrates the crossbar (one flit per input port and per
 // output port) against prior-cycle credit state. Winners are staged (in
 // output-port order) for commitSA to traverse. Stall bookkeeping lands on
-// shared Packet fields: on the serial engine it commits in place (the
-// counters are only read at ejection, and a packet this router stalls
-// cannot eject elsewhere the same cycle — the head router must hold every
-// flit before ejecting, so this router released the packet at least one
-// cycle earlier); under the parallel engine, where two routers can reach
-// the same packet concurrently, it is staged for commitSA. Round-robin
-// pointers, wait counters and lostArb flags are router-local and advance
-// in place.
+// shared Packet fields, so it is staged for commitSA too: a wormhole
+// packet stalled here can be granted (and traced, with its Queueing and
+// EngineStall counters) at its head router in the same cycle, and that
+// record must show the prior-cycle counters. Round-robin pointers, wait
+// counters and lostArb flags are router-local and advance in place.
 func (r *Router) computeSA() {
 	var inUsed [NumPorts]bool
 	wants := &r.saWants
 	for p := Port(0); p < NumPorts; p++ {
 		wants[p] = wants[p][:0]
 	}
-	// Inline stall commits need more than a serial engine: tracers
-	// snapshot pkt.Queueing/EngineStall into every record, and a wormhole
-	// packet stalled here can be granted (and traced) at its head router
-	// the same cycle — so with a tracer attached the stalls stay staged,
-	// keeping the artifact byte-identical at every worker count. Without
-	// a tracer the counters are only read at ejection, which can never
-	// land in the same cycle as an upstream stall (the head router must
-	// hold every flit to eject, so the upstream released the packet at
-	// least a cycle earlier).
-	inline := r.net.pool == nil && r.net.tracer == nil
 	vcs := r.net.cfg.VCs
 	for m := r.live; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
@@ -392,17 +376,10 @@ func (r *Router) computeSA() {
 		} else if e.state >= vcVA && e.stored > 0 {
 			// Buffered but unable to move: queueing time DISCO can use.
 			e.waitCycles++
+			// engineStall: the engine lock is the only blocker, so this
+			// stall cycle is exposed engine latency, not overlap.
 			engineStall := e.lock != lockNone && r.schedulableIgnoringLock(e)
-			if inline {
-				e.pkt.Queueing++
-				if engineStall {
-					// The engine lock is the only blocker: this stall
-					// cycle is exposed engine latency, not overlap.
-					e.pkt.Life.EngineStall++
-				}
-			} else {
-				r.saStalls = append(r.saStalls, saStall{pkt: e.pkt, engineStall: engineStall})
-			}
+			r.saStalls = append(r.saStalls, saStall{pkt: e.pkt, engineStall: engineStall})
 			if e.state == vcActive && e.sent < e.ready && e.lock == lockNone {
 				e.lostArb = true // blocked on credits: a contention loser too
 			}
@@ -431,11 +408,7 @@ func (r *Router) computeSA() {
 			for _, w := range cand {
 				w.e.lostArb = true
 				w.e.waitCycles++
-				if inline {
-					w.e.pkt.Queueing++
-				} else {
-					r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
-				}
+				r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
 			}
 			continue
 		}
@@ -444,11 +417,7 @@ func (r *Router) computeSA() {
 			if i != best {
 				w.e.lostArb = true
 				w.e.waitCycles++
-				if inline {
-					w.e.pkt.Queueing++
-				} else {
-					r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
-				}
+				r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
 			}
 		}
 		winner := cand[best]
@@ -458,8 +427,7 @@ func (r *Router) computeSA() {
 }
 
 // commitSA applies this router's staged switch-allocation effects: the
-// stall counters (parallel engine only — the serial engine committed
-// them during computeSA), then the winner traversals (flit moves, credit
+// stall counters, then the winner traversals (flit moves, credit
 // reservations, ejections, fault draws) in output-port order. Called by
 // the network serially in router-index order — a winner's credit check
 // stays valid because its downstream VC has exactly one upstream owner,
@@ -550,10 +518,9 @@ func (r *Router) traverse(e *vcBuf) {
 // jobs, absorbs newly arrived fragments, applies finished transforms.
 // Everything it touches is exclusive to this router — its engine, its
 // VCs, and the engine job's packet (at most one engine holds a packet at
-// a time) — so the whole stage is compute-safe; under the parallel
-// engine its trace events are staged and flushed in canonical order. The shared fault oracle is NOT
-// consulted here: engine faults are drawn at job start (commitArb), and
-// Engine.Tick is oracle-free by construction.
+// a time) — so the whole stage is compute-safe. The shared fault oracle
+// is NOT consulted here: engine faults are drawn at job start
+// (commitArb), and Engine.Tick is oracle-free by construction.
 func (r *Router) computeEngine() {
 	if r.engine == nil {
 		return

@@ -53,6 +53,13 @@ func (n *Network) trace(router int, kind string, pkt *Packet) {
 	}
 }
 
+// trace records an event from router code. Compute halves emit through
+// this wrapper, never Network.trace directly (discolint phasesafety):
+// it is the one sanctioned path from compute code to Network state, and
+// stages dispatch routers in index order, so events land in canonical
+// order.
+func (r *Router) trace(kind string, pkt *Packet) { r.net.trace(r.id, kind, pkt) }
+
 // WriterTracer formats events one per line to an io.Writer.
 type WriterTracer struct {
 	W io.Writer

@@ -52,9 +52,10 @@ type vcBuf struct {
 	// (pkt != nil or reserved != 0). The compute stages iterate the mask
 	// instead of scanning every VC. Both are wired once at construction
 	// and survive reset; every pkt/reserved transition calls syncLive.
-	// All such transitions happen in serial regions (the Step prologue,
-	// the commit phases, NI injection), so the mask is never written
-	// concurrently. owner is nil for detached buffers in unit tests.
+	// All such transitions happen outside the compute halves (the Step
+	// prologue, the commit phases, NI injection), so the mask is stable
+	// while a stage computes. owner is nil for detached buffers in unit
+	// tests.
 	owner *Router
 	bit   uint64
 

@@ -27,7 +27,7 @@ import (
 //   - Live data (SetLiveStatus, SetLiveMetrics) is rendered per request
 //     on the HANDLER goroutine, so the closures must be internally
 //     thread-safe. The two users are the profiler registry (atomic
-//     lane counters) and simrun campaign stats (mutex-protected).
+//     counters) and simrun campaign stats (mutex-protected).
 type Server struct {
 	mux  *http.ServeMux
 	srv  *http.Server
